@@ -26,8 +26,8 @@
 //    picked per the runtime ISA — AVX-512 / AVX2 / NEON / scalar — at
 //    evaluator construction (ac/simd_sweep.hpp; PROBLP_SIMD overrides);
 //  * the **generic CSR fold** (Options::force_generic): the original
-//    baseline-ISA sweep, kept as the parity reference and the trajectory
-//    baseline in bench_eval_throughput.
+//    baseline-ISA sweep, kept as the parity reference the tests compare
+//    the kernel schedule against.
 //
 // Both run the same per-query op order in IEEE double, so results are
 // bit-identical to each other and to ac::evaluate on the source circuit.
@@ -102,12 +102,12 @@ class BatchEvaluator {
     /// auto_block_size(); explicit values are honoured as given.
     std::size_t block = 0;
     /// Force the generic CSR fold instead of the specialised kernel
-    /// schedule — the parity reference and the pre-SIMD trajectory baseline.
+    /// schedule — the parity reference.
     bool force_generic = false;
     /// Cache-shaped tape re-layout (ac/tape_layout.hpp): execute the
     /// re-ordered operator schedule over a value buffer of max-live slots
     /// instead of one row per node.  Bit-identical results either way; off
-    /// is the O(nodes) parity/trajectory reference.  Applies to the kernel
+    /// is the O(nodes) parity reference.  Applies to the kernel
     /// schedule backend only (force_generic always runs the identity
     /// layout).
     bool relayout = true;

@@ -42,8 +42,8 @@
 // layout) — which emits out/lhs/rhs and the generic fallback arrays in slot
 // space — and through the engines' leaf scatter / indicator zeroing / root
 // gather paths.  Options::relayout (default on) selects the pass;
-// relayout-off keeps the O(nodes) identity layout as the parity and
-// trajectory reference.  See docs/evaluation.md.
+// relayout-off keeps the O(nodes) identity layout as the parity
+// reference.  See docs/evaluation.md.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +55,8 @@
 namespace problp::ac {
 
 /// Inspectable report of what the pass did to one tape — the win is
-/// measured, not asserted (bench_eval_throughput records the memory shape
-/// per row; docs/evaluation.md shows the ve36 numbers).
+/// measured, not asserted (docs/evaluation.md shows the memory shape and
+/// throughput on ALARM and ve36).
 struct TapeLayoutStats {
   std::size_t num_nodes = 0;   ///< tape nodes (leaves + operators)
   std::size_t num_leaves = 0;  ///< pinned leaf slots (parameters + indicators)

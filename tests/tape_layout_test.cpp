@@ -49,7 +49,9 @@ void expect_valid_layout(const CircuitTape& tape) {
   std::vector<bool> is_op(tape.num_nodes(), false);
   for (const NodeId id : tape.op_ids()) is_op[static_cast<std::size_t>(id)] = true;
   for (std::size_t i = 0; i < tape.num_nodes(); ++i) {
-    if (!is_op[i]) EXPECT_EQ(slot_of[i], next_leaf_slot++) << "leaf " << i;
+    if (!is_op[i]) {
+      EXPECT_EQ(slot_of[i], next_leaf_slot++) << "leaf " << i;
+    }
     ASSERT_GE(slot_of[i], 0);
     ASSERT_LT(static_cast<std::size_t>(slot_of[i]), layout.num_slots());
   }

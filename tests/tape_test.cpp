@@ -806,32 +806,55 @@ TEST(Simd, ForcedLevelParityMatrixExactAndLowPrec) {
 TEST(Simd, RelayoutParityMatrixAcrossCircuits) {
   // Layout invariance: the cache-shaped re-layout (re-ordered op schedule +
   // recycled slots) must be *bitwise* invisible in results.  Random mixed-
-  // fanin circuits, VE output and an NB circuit x {exact, fixed lowprec,
-  // float lowprec} x relayout {off, on} x every supported kernel ISA x
-  // threads {1, 4} x batch sizes {1, 17, 512} — values and per-query sticky
-  // flags all compared against the relayout-off O(nodes) reference.
+  // fanin circuits, VE output, an NB circuit and a large VE tape x {exact,
+  // fixed lowprec, float lowprec} x relayout {off, on} x every supported
+  // kernel ISA x threads {1, 4} x each input's batch sizes — values and
+  // per-query sticky flags all compared against the relayout-off O(nodes)
+  // reference.
+  struct Input {
+    CircuitTape tape;
+    std::vector<std::size_t> batch_sizes;
+  };
   Rng rng(59);
-  std::vector<Circuit> circuits;
+  std::vector<Input> inputs;
   {
     test::RandomCircuitSpec spec;
     spec.num_operators = 60;
     spec.max_fanin = 4;
-    circuits.push_back(test::make_random_circuit(spec, rng));
+    inputs.push_back({CircuitTape::compile(test::make_random_circuit(spec, rng)), {1, 17, 512}});
   }
   {
     bn::RandomNetworkSpec spec;
     spec.num_variables = 7;
-    circuits.push_back(compile::compile_network(bn::make_random_network(spec, rng)));
+    const Circuit circuit = compile::compile_network(bn::make_random_network(spec, rng));
+    inputs.push_back({CircuitTape::compile(circuit), {1, 17, 512}});
   }
-  circuits.push_back(compile::compile_naive_bayes(make_nb_network(4, rng), 0));
+  {
+    const Circuit circuit = compile::compile_naive_bayes(make_nb_network(4, rng), 0);
+    inputs.push_back({CircuitTape::compile(circuit), {1, 17, 512}});
+  }
+  {
+    // The synthetic VE recipe (seed 42, <= 3 parents, edge probability
+    // 0.25) at 28 variables: ~14k operators, so the layout's same-kind
+    // window, min(1024, num_ops / 8), runs at its cap — a schedule the
+    // small inputs above never reach.  Short batches keep the matrix cheap.
+    Rng ve_rng(42);
+    bn::RandomNetworkSpec spec;
+    spec.num_variables = 28;
+    spec.max_parents = 3;
+    spec.edge_probability = 0.25;
+    const Circuit circuit = compile::compile_network(bn::make_random_network(spec, ve_rng));
+    inputs.push_back({CircuitTape::compile(circuit), {1, 17, 64}});
+    ASSERT_GE(inputs.back().tape.op_ids().size(), 8u * 1024);
+  }
 
   const lowprec::FixedFormat fx{2, 12};
   const lowprec::FloatFormat fl{4, 6};
-  const std::vector<std::size_t> batch_sizes = {1, 17, 512};
 
-  for (const Circuit& circuit : circuits) {
-    const CircuitTape tape = CircuitTape::compile(circuit);
-    const auto assignments = random_assignments(circuit.cardinalities(), 512, 0.5, rng);
+  for (const Input& input : inputs) {
+    const CircuitTape& tape = input.tape;
+    const auto assignments =
+        random_assignments(tape.cardinalities(), input.batch_sizes.back(), 0.5, rng);
 
     // Relayout-off references (identity O(nodes) layout), once per circuit.
     BatchEvaluator::Options ref;
@@ -849,7 +872,7 @@ TEST(Simd, RelayoutParityMatrixAcrossCircuits) {
       ScopedSimdEnv env(simd::level_name(level));
       for (const bool relayout : {false, true}) {
         for (const int threads : {1, 4}) {
-          for (const std::size_t count : batch_sizes) {
+          for (const std::size_t count : input.batch_sizes) {
             BatchEvaluator::Options opts;
             opts.relayout = relayout;
             opts.num_threads = threads;
@@ -860,7 +883,9 @@ TEST(Simd, RelayoutParityMatrixAcrossCircuits) {
 
             BatchEvaluator exact(tape, opts);
             EXPECT_EQ(exact.relayout_engaged(), relayout);
-            if (relayout) EXPECT_LE(exact.num_rows(), tape.num_nodes());
+            if (relayout) {
+              EXPECT_LE(exact.num_rows(), tape.num_nodes());
+            }
             const std::vector<double>& roots = exact.evaluate(assignments.data(), count);
             ASSERT_EQ(roots.size(), count);
             for (std::size_t i = 0; i < count; ++i) {
