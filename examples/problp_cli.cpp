@@ -549,7 +549,7 @@ int main(int argc, char** argv) {
       const serve::StatsSnapshot stats = server->stats();
       std::printf("serve: %ld requests in %.3f s (%.0f q/s): %llu ok (%llu degraded), "
                   "%llu timeout, %llu rejected, %llu error; flushes %llu by size / %llu by "
-                  "deadline, double completions %llu\n",
+                  "deadline / %llu idle, double completions %llu\n",
                   serve_requests, secs, static_cast<double>(serve_requests) / secs,
                   static_cast<unsigned long long>(ok), static_cast<unsigned long long>(degraded),
                   static_cast<unsigned long long>(timeouts),
@@ -557,6 +557,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(worker_errors),
                   static_cast<unsigned long long>(stats.flushes_by_size),
                   static_cast<unsigned long long>(stats.flushes_by_deadline),
+                  static_cast<unsigned long long>(stats.flushes_idle),
                   static_cast<unsigned long long>(stats.double_completions));
       if (degraded_format) {
         std::printf("serve: degraded answers served on %s (analytic bound <= %.3g)\n",

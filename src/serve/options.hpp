@@ -5,9 +5,10 @@
 //
 // The three pressure valves, in the order they engage as load rises:
 //
-//   1. coalescing   — requests wait at most `flush_deadline` to ride a batch
-//                     of up to `batch_max` (bigger batches = the SIMD
-//                     engines' preferred shape).
+//   1. coalescing   — while every worker is busy, requests wait at most
+//                     `flush_deadline` to ride a batch of up to `batch_max`
+//                     (bigger batches = the SIMD engines' preferred shape);
+//                     an idle worker takes whatever is queued at once.
 //   2. degradation  — past OverloadPolicy::degrade_depth (or an observed-p99
 //                     threshold), *new* requests are admitted onto the
 //                     configured lower-precision rung: cheaper to serve, and
@@ -84,11 +85,13 @@ struct ServerOptions {
   FullPolicy full_policy = FullPolicy::kReject;
   util::Clock::Duration block_timeout = std::chrono::milliseconds(100);
 
-  /// Coalescing batcher: flush when this many requests are pending...
+  /// Coalescing: a batch is cut when a worker is idle, when this many
+  /// requests are pending...
   std::size_t batch_max = 64;
   /// ...or when the oldest pending request has waited this long.  This is
   /// the p99-latency knob: no request waits in the queue longer than
-  /// flush_deadline before dispatch (its own deadline permitting).
+  /// flush_deadline before dispatch (its own deadline permitting), and it
+  /// waits at all only while every worker is busy.
   util::Clock::Duration flush_deadline = std::chrono::milliseconds(2);
 
   /// Worker shards; each owns its InferenceSession pool (base + degraded

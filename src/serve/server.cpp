@@ -117,7 +117,7 @@ std::future<Response> Server::submit_internal(Request request,
   ++counters_.submitted;
 
   std::unique_lock<std::mutex> lock(mu_);
-  const util::Clock::TimePoint now = clock_->now();
+  util::Clock::TimePoint now = clock_->now();
   pending->enqueued = now;
   if (pending->request.timeout) pending->deadline = now + *pending->request.timeout;
 
@@ -161,6 +161,7 @@ std::future<Response> Server::submit_internal(Request request,
       clock_->wait_until(cv_not_full_, lock, block_deadline);
     }
     --counters_.producers_blocked;
+    now = clock_->now();  // a cut below must not be stamped before the wait
     if (stopping_) {
       lock.unlock();
       complete_rejection(std::move(pending), Status::kRejectedShutdown,
@@ -178,27 +179,27 @@ std::future<Response> Server::submit_internal(Request request,
   }
   pending->tier = admission_tier(queue_.size());
   if (pending->tier == Tier::kDegraded) ++counters_.degraded_admitted;
-  const bool was_empty = queue_.empty();
-  const bool has_deadline = pending->deadline != util::Clock::TimePoint::max();
-  if (has_deadline) ++queue_deadlines_;
+  deadline_bound_ = std::min(deadline_bound_, pending->deadline);
   queue_.push_back(std::move(pending));
-  // Size-triggered flushes are cut right here on the submitting thread: at
-  // saturation every batch is size-cut, and routing each one through the
-  // batcher costs a futex wake plus two context switches per batch.  The
-  // batcher still owns deadline/linger flushes and the drain; when the
-  // batch queue is full the cut is left to it (the worker's slot-freed
-  // notify wakes it), so backpressure behaves identically.
-  if (queue_.size() >= options_.batch_max && batches_.size() < max_pending_batches_ &&
-      !stopping_) {
-    // Fresh stamp: under FullPolicy::kBlock `now` can predate a long wait.
-    flush_locked(lock, clock_->now(), /*by_size=*/true);
+  // Cuts happen right here on the submitting thread, through the batcher's
+  // own flush_locked: a size cut once batch_max requests are pending, and a
+  // work-conserving cut whenever more workers are idle than flushed batches
+  // wait for them — a request never lingers for a batch to fill while a
+  // worker could be serving it.  Routing either through the batcher would
+  // cost a futex wake plus two context switches per batch.  With the batch
+  // queue full the cut is left to the batcher (the worker that frees a slot
+  // wakes it), so backpressure behaves identically.
+  if (batches_.size() < max_pending_batches_) {
+    if (queue_.size() >= options_.batch_max) {
+      flush_locked(lock, now, FlushCause::kSize);
+    } else if (idle_workers_ > batches_.size()) {
+      flush_locked(lock, now, FlushCause::kIdle);
+    }
   }
-  // Wake the batcher only when its wake plan can change: the first request
-  // arms the linger timer, and a finite deadline may be earlier than the
-  // sleep it already computed.  Every other submit would wake it just to
-  // re-sleep — on a saturated machine that futex round-trip per request
-  // costs more than the flush.
-  const bool wake = was_empty || has_deadline;
+  // Wake the batcher only when its plan changes: a first queued request
+  // arms the linger timer, a deadline may be earlier than the wake it
+  // planned.  Every other submit would wake it just to re-sleep.
+  const bool wake = replan_batcher_locked();
   lock.unlock();
   if (wake) cv_batcher_.notify_one();
   return future;
@@ -272,17 +273,27 @@ void Server::complete_timeout(PendingPtr pending, bool after_flush) {
 // ---- batcher ---------------------------------------------------------------
 
 void Server::flush_locked(std::unique_lock<std::mutex>& lock, util::Clock::TimePoint now,
-                          bool by_size) {
+                          FlushCause cause) {
   Batch batch;
   const std::size_t n = std::min(queue_.size(), options_.batch_max);
   batch.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     queue_.front()->flushed = now;
-    if (queue_.front()->deadline != util::Clock::TimePoint::max()) --queue_deadlines_;
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
-  (by_size ? counters_.flushes_by_size : counters_.flushes_by_deadline).fetch_add(1);
+  if (queue_.empty()) deadline_bound_ = util::Clock::TimePoint::max();
+  switch (cause) {
+    case FlushCause::kSize:
+      ++counters_.flushes_by_size;
+      break;
+    case FlushCause::kDeadline:
+      ++counters_.flushes_by_deadline;
+      break;
+    case FlushCause::kIdle:
+      ++counters_.flushes_idle;
+      break;
+  }
   if (util::fault_point("serve.flush")) {
     // A failed dispatch must still complete every member exactly once —
     // the real mid-flush error path, driven deterministically.
@@ -302,6 +313,21 @@ void Server::flush_locked(std::unique_lock<std::mutex>& lock, util::Clock::TimeP
   lock.lock();
 }
 
+util::Clock::TimePoint Server::batcher_due_locked() const {
+  if (queue_.empty()) return util::Clock::TimePoint::max();
+  if (batches_.size() >= max_pending_batches_) return deadline_bound_;
+  const bool flush_now = queue_.size() >= options_.batch_max || (stopping_ && drain_);
+  return std::min(flush_now ? util::Clock::TimePoint::min()
+                            : queue_.front()->enqueued + options_.flush_deadline,
+                  deadline_bound_);
+}
+
+bool Server::replan_batcher_locked() {
+  if (batcher_due_locked() >= batcher_wake_) return false;
+  batcher_wake_ = util::Clock::TimePoint::min();
+  return true;
+}
+
 void Server::batcher_main() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -309,20 +335,24 @@ void Server::batcher_main() {
 
     // Expired requests leave the queue as typed timeouts — before any flush
     // decision, so an expired request is never silently evaluated.  The
-    // sweep is O(depth), so it only runs while some queued request actually
-    // carries a deadline (queue_deadlines_ tracks that across every path a
-    // request leaves the queue by).
-    if (queue_deadlines_ > 0) {
+    // sweep is O(depth), so it runs only once the lower bound on the
+    // earliest queued deadline is due, and leaves that bound exact.
+    if (deadline_bound_ <= now) {
+      ++counters_.deadline_sweeps;
       std::vector<PendingPtr> expired;
-      for (auto it = queue_.begin(); it != queue_.end();) {
+      util::Clock::TimePoint earliest = util::Clock::TimePoint::max();
+      auto kept = queue_.begin();
+      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
         if ((*it)->deadline <= now) {
-          --queue_deadlines_;
           expired.push_back(std::move(*it));
-          it = queue_.erase(it);
         } else {
-          ++it;
+          earliest = std::min(earliest, (*it)->deadline);
+          if (kept != it) *kept = std::move(*it);
+          ++kept;
         }
       }
+      queue_.erase(kept, queue_.end());
+      deadline_bound_ = earliest;
       if (!expired.empty()) {
         lock.unlock();
         for (PendingPtr& p : expired) complete_timeout(std::move(p), false);
@@ -332,42 +362,30 @@ void Server::batcher_main() {
       }
     }
 
-    bool flush = false;
-    bool by_size = false;
-    if (!queue_.empty()) {
+    // Size and linger flushes; with the batch queue full they wait for a
+    // worker to free a slot, so the submission queue fills and backpressure
+    // reaches producers instead of batches piling up.
+    if (!queue_.empty() && batches_.size() < max_pending_batches_) {
       if (queue_.size() >= options_.batch_max) {
-        flush = true;
-        by_size = true;
-      } else if (stopping_ && drain_) {
-        flush = true;  // drain: flush the backlog without waiting for the linger
-      } else if (now - queue_.front()->enqueued >= options_.flush_deadline) {
-        flush = true;
-      }
-    }
-
-    if (flush) {
-      if (batches_.size() >= max_pending_batches_) {
-        // Workers are behind; stall here so the submission queue fills and
-        // backpressure reaches producers instead of batches piling up.
-        cv_batcher_.wait(lock);
+        flush_locked(lock, now, FlushCause::kSize);
         continue;
       }
-      flush_locked(lock, now, by_size);
-      continue;
+      // drain: flush the backlog without waiting for the linger
+      if ((stopping_ && drain_) || now - queue_.front()->enqueued >= options_.flush_deadline) {
+        flush_locked(lock, now, FlushCause::kDeadline);
+        continue;
+      }
     }
 
     if (stopping_ && queue_.empty()) break;
 
     // Sleep until the earliest actionable instant: the oldest request's
-    // linger deadline or any request's own deadline, whichever is sooner.
-    util::Clock::TimePoint next = util::Clock::TimePoint::max();
-    if (!queue_.empty()) {
-      next = queue_.front()->enqueued + options_.flush_deadline;
-      if (queue_deadlines_ > 0) {
-        for (const PendingPtr& p : queue_) next = std::min(next, p->deadline);
-      }
-    }
-    clock_->wait_until(cv_batcher_, lock, next);
+    // linger deadline or the deadline bound, whichever is sooner — or, while
+    // stalled on a full batch queue, the bound alone, so a queued request
+    // still expires on time while the workers are behind.
+    batcher_wake_ = batcher_due_locked();
+    clock_->wait_until(cv_batcher_, lock, batcher_wake_);
+    batcher_wake_ = util::Clock::TimePoint::min();
   }
   batcher_done_ = true;
   lock.unlock();
@@ -380,12 +398,24 @@ void Server::worker_main() {
   WorkerSessions sessions(*this);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    while (batches_.empty() && !batcher_done_) cv_work_.wait(lock);
-    if (batches_.empty()) break;  // batcher finished and the backlog is served
+    if (batches_.empty()) {
+      if (!queue_.empty()) {
+        // Work-conserving: an idle worker takes what is queued now rather
+        // than sleep while it waits for a size or linger flush.
+        flush_locked(lock, clock_->now(), FlushCause::kIdle);
+        continue;
+      }
+      if (batcher_done_) break;  // batcher finished and the backlog is served
+      ++idle_workers_;
+      cv_work_.wait(lock);
+      --idle_workers_;
+      continue;
+    }
     Batch batch = std::move(batches_.front());
     batches_.pop_front();
+    const bool wake = replan_batcher_locked();  // a freed slot may unstall it
     lock.unlock();
-    cv_batcher_.notify_one();  // batch-queue slot freed
+    if (wake) cv_batcher_.notify_one();
     process_batch(sessions, std::move(batch));
     lock.lock();
   }
@@ -468,14 +498,15 @@ void Server::evaluate_group(WorkerSessions& sessions, Batch& batch,
     const util::Clock::TimePoint done = clock_->now();
     // Latencies are recorded before any member completes: a client that
     // observes a completion may submit again immediately, and its admission
-    // must see a p99 window that already includes the batch it just waited
-    // on (the ManualClock p99-trigger test pins this ordering down).
+    // must see a published p99 that already includes the batch it just
+    // waited on (the ManualClock p99-trigger test pins this ordering down).
+    // Only the latency trigger reads the window, so without one it is not fed.
     std::vector<util::Clock::Duration> latencies;
     latencies.reserve(indices.size());
     for (const std::size_t i : indices) {
       latencies.push_back(done - batch[i]->enqueued);
     }
-    latency_.record_many(latencies);
+    if (options_.overload.degrade_p99) latency_.record_many(latencies);
     for (std::size_t j = 0; j < indices.size(); ++j) {
       PendingPtr pending = std::move(batch[indices[j]]);
       Response response;
@@ -533,7 +564,7 @@ void Server::shutdown(bool drain) {
         cancelled.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      queue_deadlines_ = 0;
+      deadline_bound_ = util::Clock::TimePoint::max();
     }
   }
   cv_batcher_.notify_all();
@@ -565,6 +596,8 @@ StatsSnapshot Server::stats() const {
   s.degraded_admitted = counters_.degraded_admitted.load();
   s.flushes_by_size = counters_.flushes_by_size.load();
   s.flushes_by_deadline = counters_.flushes_by_deadline.load();
+  s.flushes_idle = counters_.flushes_idle.load();
+  s.deadline_sweeps = counters_.deadline_sweeps.load();
   s.batches_evaluated = counters_.batches_evaluated.load();
   s.double_completions = counters_.double_completions.load();
   s.producers_blocked = counters_.producers_blocked.load();

@@ -5,21 +5,25 @@
 // Everything above it produces *single concurrent requests*.  The Server is
 // the adapter, built robustness-first:
 //
-//   producers ──submit()──▶ bounded queue ──batcher──▶ batch queue ──▶ workers
-//                (backpressure,            (flush on size            (session
-//                 overload admission)       or deadline)              pools)
+//   producers ──submit()──▶ bounded queue ──flush──▶ batch queue ──▶ workers
+//                (backpressure,          (size, linger           (session
+//                 overload admission)     or idle worker)         pools)
 //
 // * Bounded MPSC submission queue.  submit() never grows memory without
 //   bound: a full queue either rejects with a typed response
 //   (FullPolicy::kReject) or blocks the producer up to a timeout
 //   (FullPolicy::kBlock) and then rejects.  The queue doubles as the
-//   coalescing buffer, so "queue depth" is exactly the batcher's backlog.
+//   coalescing buffer, so "queue depth" is exactly the flush backlog.
 //
-// * Coalescing batcher.  One thread cuts the queue into batches of up to
-//   batch_max, flushing early when the oldest pending request has waited
-//   flush_deadline — the knob that bounds queued latency.  Requests whose
-//   own deadline expires while queued are completed with a typed timeout
-//   and never evaluated.
+// * Work-conserving coalescing.  A batch of up to batch_max is cut when a
+//   worker is idle with no flushed batch waiting for it (by the submitting
+//   thread, or by the worker itself before it sleeps), when batch_max
+//   requests are pending, or when the oldest has waited flush_deadline.  So
+//   a request lingers only while every worker is busy, and under load
+//   batches grow back toward batch_max.  Requests whose own deadline
+//   expires while queued are completed with a typed timeout and never
+//   evaluated; the batcher walks the queue for them only when a lower
+//   bound on the earliest queued deadline is due.
 //
 // * Worker session pools.  Each worker shard owns its InferenceSessions
 //   (base tier + degraded tier, built once per thread), re-checks deadlines
@@ -28,7 +32,8 @@
 //   per-query flags and provenance included.
 //
 // * Overload controller.  Admission-time policy (see serve/options.hpp):
-//   past degrade_depth / degrade_p99, new requests are served on the
+//   past degrade_depth / degrade_p99 (the p99 the workers publish after
+//   each group, one atomic load at admission), new requests are served on the
 //   configured lower-precision rung and their responses carry the rung's
 //   format and analytic error bound; past shed_depth they are shed with a
 //   typed rejection.  Degradation is decided when a request is *admitted*,
@@ -116,7 +121,7 @@ class Server {
     std::function<void(Response)> callback;
     util::Clock::TimePoint enqueued{};
     util::Clock::TimePoint deadline = util::Clock::TimePoint::max();
-    util::Clock::TimePoint flushed{};  ///< set when the batcher cuts it into a batch
+    util::Clock::TimePoint flushed{};  ///< set when it is cut into a batch
     Tier tier = Tier::kNormal;
     std::atomic<bool> completed{false};
   };
@@ -137,14 +142,29 @@ class Server {
   void complete_rejection(PendingPtr pending, Status status, const std::string& message);
   void complete_timeout(PendingPtr pending, bool after_flush);
 
+  /// Why a batch was cut; each cause has its own flush counter.
+  enum class FlushCause { kSize, kDeadline, kIdle };
+
   /// With mu_ held (via `lock`): cuts up to batch_max queued requests into
   /// a batch stamped `flushed = now` and dispatches it to the batch queue —
   /// or, when the serve.flush fault fires, completes every member with a
   /// typed error.  Briefly drops the lock to complete/notify; re-held on
   /// return.  Callers check queue_/batches_ preconditions.  Shared by the
-  /// batcher and by submit's inline size-cut so flush semantics (counters,
-  /// fault site, backpressure notifies) cannot drift between the two.
-  void flush_locked(std::unique_lock<std::mutex>& lock, util::Clock::TimePoint now, bool by_size);
+  /// batcher, submit's inline cuts and the workers' idle cut, so flush
+  /// semantics (counters, fault site, backpressure notifies) cannot drift
+  /// between them.
+  void flush_locked(std::unique_lock<std::mutex>& lock, util::Clock::TimePoint now,
+                    FlushCause cause);
+
+  /// With mu_ held: the instant the batcher next has work for the current
+  /// state — TimePoint::min() when a flush is due and possible now.  While
+  /// the batch queue is full only an expiry can be due; the worker that
+  /// frees a slot re-plans.
+  util::Clock::TimePoint batcher_due_locked() const;
+  /// With mu_ held: marks the batcher awake if its plan has become earlier
+  /// than the wake it sleeps towards.  Returns whether the caller must
+  /// notify cv_batcher_ once it has dropped the lock.
+  bool replan_batcher_locked();
 
   void batcher_main();
   void worker_main();
@@ -155,7 +175,7 @@ class Server {
   void evaluate_group(WorkerSessions& sessions, Batch& batch,
                       const std::vector<std::size_t>& indices);
 
-  /// Admission-time tier decision (call with mu_ held).
+  /// Admission-time tier decision: queue depth plus the published p99.
   Tier admission_tier(std::size_t depth) const;
 
   std::shared_ptr<const runtime::CompiledModel> model_;
@@ -165,8 +185,15 @@ class Server {
 
   mutable std::mutex mu_;
   std::deque<PendingPtr> queue_;  ///< the bounded MPSC submission/coalescing buffer
-  std::size_t queue_deadlines_ = 0;  ///< queue_ entries with a finite deadline
+  /// Lower bound on the earliest deadline in queue_ (max = none queued):
+  /// lowered on every push, made exact by each expiry sweep, reset when the
+  /// queue empties.
+  util::Clock::TimePoint deadline_bound_ = util::Clock::TimePoint::max();
   std::deque<Batch> batches_;    ///< flushed, awaiting a worker (bounded)
+  std::size_t idle_workers_ = 0;  ///< workers waiting on cv_work_
+  /// When the sleeping batcher wakes on its own; TimePoint::min() while it
+  /// is awake (it re-plans under mu_ before sleeping again).
+  util::Clock::TimePoint batcher_wake_ = util::Clock::TimePoint::min();
   bool stopping_ = false;
   bool drain_ = true;
   bool batcher_done_ = false;

@@ -116,6 +116,20 @@ bool spin_until(const std::function<bool()>& pred) {
   return pred();
 }
 
+/// Waits (bounded by spin_until's cap) for `f` to become ready; a request
+/// that never completes fails the test instead of hanging it in get().
+bool completes(std::future<Response>& f) {
+  return spin_until([&] { return f.wait_for(ms(1)) == std::future_status::ready; });
+}
+
+/// Opens `gate` on scope exit.  Declared after the Server, it runs before
+/// the Server's destructor drains, so a failed assertion while a worker is
+/// held ends the test rather than hanging it.
+struct OpenOnExit {
+  Gate& gate;
+  ~OpenOnExit() { gate.open(); }
+};
+
 void expect_accounting_identity(const StatsSnapshot& s) {
   EXPECT_EQ(s.submitted, s.total_completed());
   EXPECT_EQ(s.double_completions, 0u);
@@ -261,18 +275,38 @@ TEST_F(ServeTest, MisconfigurationThrowsFoundVsExpected) {
 
 // ---- backpressure ----------------------------------------------------------
 
-// Stalls the whole pipeline deterministically: worker 1 held inside the
-// test hook, one more flushed batch parked in the bounded batch queue, the
-// submission queue full behind it.  ManualClock keeps the batcher from ever
-// flushing on a deadline.
+/// ManualClock that counts the waits begun on it.  With no producer
+/// blocked, the batcher is the only server thread that waits on the clock,
+/// so a rising count shows that it has gone back to sleep on a timer.
+class WaitCountingClock final : public util::Clock {
+ public:
+  TimePoint now() const override { return clock_.now(); }
+  void wait_until(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+                  TimePoint deadline) override {
+    ++waits_;
+    clock_.wait_until(cv, lock, deadline);
+  }
+  void advance(Duration d) { clock_.advance(d); }
+  int waits() const { return waits_.load(); }
+
+ private:
+  ManualClock clock_;
+  std::atomic<int> waits_{0};
+};
+
+// Stalls the whole pipeline deterministically: the worker held inside the
+// test hook on a first request, one flushed batch parked in the bounded
+// batch queue, the submission queue filled behind it.  ManualClock keeps the
+// batcher from ever flushing on a deadline, and with the worker held no cut
+// is work-conserving.
 struct StalledPipeline {
-  std::shared_ptr<ManualClock> clock = std::make_shared<ManualClock>();
+  std::shared_ptr<WaitCountingClock> clock = std::make_shared<WaitCountingClock>();
   Gate gate;
   std::atomic<int> arrived{0};
 
-  ServerOptions options(ServerOptions::FullPolicy policy) {
+  ServerOptions options(ServerOptions::FullPolicy policy, std::size_t capacity = 4) {
     ServerOptions o;
-    o.capacity = 4;
+    o.capacity = capacity;
     o.batch_max = 4;
     o.workers = 1;
     o.max_pending_batches = 1;
@@ -287,19 +321,19 @@ struct StalledPipeline {
     return o;
   }
 
-  /// 12 submissions: 4 held by the worker, 4 parked in the batch queue,
-  /// 4 filling the submission queue.
+  /// 9 submissions: 1 held by the worker (the idle worker takes it at
+  /// once), 4 parked in the batch queue (a size cut), 4 queued behind them.
   std::vector<std::future<Response>> fill(Server& server, const CompiledModel& model) {
     std::vector<std::future<Response>> futures;
-    const auto evidence = sampled_evidence(model, 12, 5);
-    for (int i = 0; i < 4; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
+    const auto evidence = sampled_evidence(model, 9, 5);
+    futures.push_back(server.submit(marginal_request(evidence[0])));
     EXPECT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
-    for (int i = 4; i < 8; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
+    for (int i = 1; i < 5; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
     EXPECT_TRUE(spin_until([&] {
       const StatsSnapshot s = server.stats();
-      return s.flushes_by_size == 2 && s.queue_depth == 0;
+      return s.flushes_by_size == 1 && s.queue_depth == 0;
     }));
-    for (int i = 8; i < 12; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
+    for (int i = 5; i < 9; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
     EXPECT_TRUE(spin_until([&] { return server.stats().queue_depth == 4; }));
     return futures;
   }
@@ -311,7 +345,7 @@ TEST_F(ServeTest, FullQueueRejectsWithTypedResponse) {
   Server server(model, pipeline.options(ServerOptions::FullPolicy::kReject));
   auto futures = pipeline.fill(server, *model);
 
-  // The 13th request finds the queue at capacity and is rejected
+  // The 10th request finds the queue at capacity and is rejected
   // immediately — a typed response, not a block and not unbounded growth.
   Response rejected = server.submit(marginal_request(sampled_evidence(*model, 1, 9)[0])).get();
   EXPECT_EQ(rejected.status, Status::kRejectedQueueFull);
@@ -322,7 +356,7 @@ TEST_F(ServeTest, FullQueueRejectsWithTypedResponse) {
   server.shutdown(true);
   for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
   const StatsSnapshot s = server.stats();
-  EXPECT_EQ(s.completed_ok, 12u);
+  EXPECT_EQ(s.completed_ok, 9u);
   EXPECT_EQ(s.rejected_queue_full, 1u);
   expect_accounting_identity(s);
 }
@@ -353,15 +387,60 @@ TEST_F(ServeTest, FullQueueBlocksThenTimesOutOnManualClock) {
   ASSERT_TRUE(spin_until([&] { return server.stats().producers_blocked == 1; }));
   pipeline.gate.open();
   ASSERT_TRUE(spin_until([&] { return server.stats().producers_blocked == 0; }));
-  // The admitted request sits alone in the queue with the clock frozen; the
-  // drain shutdown flushes it.
+  // With the clock frozen, the admitted request is cut by the worker once
+  // it runs out of flushed batches, or by the drain shutdown.
   server.shutdown(true);
   EXPECT_EQ(admitted.get().status, Status::kOk);
   for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
   const StatsSnapshot s = server.stats();
-  EXPECT_EQ(s.completed_ok, 13u);
+  EXPECT_EQ(s.completed_ok, 10u);
   EXPECT_EQ(s.rejected_queue_full, 1u);
   expect_accounting_identity(s);
+}
+
+// ---- work-conserving flush -------------------------------------------------
+
+TEST_F(ServeTest, IdleWorkerTakesQueuedRequestsWithoutSizeOrLingerFlush) {
+  const auto model = test_model();
+  const auto clock = std::make_shared<ManualClock>();
+  Gate gate;
+  std::atomic<int> arrived{0};
+  ServerOptions options;
+  options.batch_max = 8;
+  options.flush_deadline = ms(100);
+  options.clock = clock;
+  options.test_worker_hook = [&] {
+    ++arrived;
+    gate.wait();
+  };
+  Server server(model, options);
+  const OpenOnExit release{gate};
+
+  // The clock never moves and no batch fills, so neither a linger nor a
+  // size flush can fire.  A lone request is still taken at once: the
+  // submitter cuts it for the idle worker (or the worker cuts it itself, if
+  // it was not yet waiting).
+  const auto evidence = sampled_evidence(*model, 3, 15);
+  std::future<Response> lone = server.submit(marginal_request(evidence[0]));
+  ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
+
+  // Two more queue behind the held worker; released, it finishes the first
+  // request and cuts the two before it would go to sleep.
+  std::future<Response> second = server.submit(marginal_request(evidence[1]));
+  std::future<Response> third = server.submit(marginal_request(evidence[2]));
+  ASSERT_TRUE(spin_until([&] { return server.stats().queue_depth == 2; }));
+  gate.open();
+  for (std::future<Response>* f : {&lone, &second, &third}) {
+    ASSERT_TRUE(completes(*f));
+    EXPECT_EQ(f->get().status, Status::kOk);
+  }
+  const StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.flushes_idle, 2u);
+  EXPECT_EQ(s.flushes_by_size, 0u);
+  EXPECT_EQ(s.flushes_by_deadline, 0u);
+  EXPECT_EQ(s.batches_evaluated, 2u);
+  server.shutdown(true);
+  expect_accounting_identity(server.stats());
 }
 
 // ---- deadlines -------------------------------------------------------------
@@ -369,13 +448,23 @@ TEST_F(ServeTest, FullQueueBlocksThenTimesOutOnManualClock) {
 TEST_F(ServeTest, DeadlineExpiryInQueueIsTypedTimeoutNeverEvaluated) {
   const auto model = test_model();
   const auto clock = std::make_shared<ManualClock>();
+  Gate gate;
+  std::atomic<int> arrived{0};
   ServerOptions options;
   options.batch_max = 8;
   options.flush_deadline = ms(100);
   options.clock = clock;
+  options.test_worker_hook = [&] {
+    ++arrived;
+    gate.wait();
+  };
   Server server(model, options);
 
-  Request request = marginal_request(sampled_evidence(*model, 1, 5)[0]);
+  // The worker is held on a first request, so the second one stays queued.
+  const auto evidence = sampled_evidence(*model, 2, 5);
+  std::future<Response> holder = server.submit(marginal_request(evidence[0]));
+  ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
+  Request request = marginal_request(evidence[1]);
   request.timeout = ms(5);
   std::future<Response> future = server.submit(std::move(request));
   ASSERT_TRUE(spin_until([&] { return server.stats().queue_depth == 1; }));
@@ -387,12 +476,15 @@ TEST_F(ServeTest, DeadlineExpiryInQueueIsTypedTimeoutNeverEvaluated) {
   EXPECT_THROW(response.throw_if_failed(), serve::DeadlineExceededError);
   EXPECT_EQ(response.queue_wait, ms(5));
 
+  gate.open();
   server.shutdown(true);
+  EXPECT_EQ(holder.get().status, Status::kOk);
   const StatsSnapshot s = server.stats();
   EXPECT_EQ(s.timed_out, 1u);
   EXPECT_EQ(s.timed_out_after_flush, 0u);
-  EXPECT_EQ(s.batches_evaluated, 0u);  // expired requests are never evaluated
+  EXPECT_EQ(s.batches_evaluated, 1u);  // the holder's: expired requests are never evaluated
   EXPECT_EQ(s.flushes_by_size + s.flushes_by_deadline, 0u);
+  EXPECT_EQ(s.flushes_idle, 1u);  // the holder's cut
   expect_accounting_identity(s);
 }
 
@@ -412,16 +504,22 @@ TEST_F(ServeTest, DeadlineExpiryAfterFlushIsTypedTimeout) {
   };
   Server server(model, options);
 
-  const auto evidence = sampled_evidence(*model, 2, 6);
+  // The worker is held on a first request; the two deadline requests are
+  // size-flushed into the batch queue behind it with deadlines still live,
+  // and the clock then expires them there.
+  const auto evidence = sampled_evidence(*model, 3, 6);
+  std::future<Response> holder = server.submit(marginal_request(evidence[0]));
+  ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
   std::vector<std::future<Response>> futures;
-  for (const auto& e : evidence) {
-    Request r = marginal_request(e);
+  for (int i = 1; i < 3; ++i) {
+    Request r = marginal_request(evidence[static_cast<std::size_t>(i)]);
     r.timeout = ms(5);
     futures.push_back(server.submit(std::move(r)));
   }
-  // The batch is flushed and picked up (hook entered) with deadlines still
-  // live; the clock then expires them while the worker is held.
-  ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
+  ASSERT_TRUE(spin_until([&] {
+    const StatsSnapshot s = server.stats();
+    return s.flushes_by_size == 1 && s.queue_depth == 0;
+  }));
   clock->advance(ms(6));
   gate.open();
 
@@ -431,10 +529,108 @@ TEST_F(ServeTest, DeadlineExpiryAfterFlushIsTypedTimeout) {
     EXPECT_NE(r.message.find("after flush"), std::string::npos) << r.message;
   }
   server.shutdown(true);
+  EXPECT_EQ(holder.get().status, Status::kOk);
   const StatsSnapshot s = server.stats();
   EXPECT_EQ(s.timed_out, 2u);
   EXPECT_EQ(s.timed_out_after_flush, 2u);
-  EXPECT_EQ(s.batches_evaluated, 0u);  // the whole batch expired: no evaluation
+  EXPECT_EQ(s.batches_evaluated, 1u);  // the holder's: the expired batch is not evaluated
+  expect_accounting_identity(s);
+}
+
+TEST_F(ServeTest, QueuedDeadlinesExpireInOrderAndAreSweptOnlyWhenDue) {
+  const auto model = test_model();
+  const auto clock = std::make_shared<ManualClock>();
+  Gate gate;
+  std::atomic<int> arrived{0};
+  ServerOptions options;
+  options.batch_max = 8;
+  options.flush_deadline = ms(100);
+  options.clock = clock;
+  options.test_worker_hook = [&] {
+    ++arrived;
+    gate.wait();
+  };
+  Server server(model, options);
+  const OpenOnExit release{gate};
+
+  const auto evidence = sampled_evidence(*model, 5, 16);
+  std::future<Response> holder = server.submit(marginal_request(evidence[0]));
+  ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
+  // Behind the held worker: timeouts of 30, 10 and 20 ms, then one with none.
+  std::vector<std::future<Response>> timed;
+  for (const int timeout_ms : {30, 10, 20}) {
+    Request r = marginal_request(evidence[timed.size() + 1]);
+    r.timeout = ms(timeout_ms);
+    timed.push_back(server.submit(std::move(r)));
+  }
+  std::future<Response> untimed = server.submit(marginal_request(evidence[4]));
+  ASSERT_TRUE(spin_until([&] { return server.stats().queue_depth == 4; }));
+  // No deadline is due yet, so nothing has walked the queue for one.
+  EXPECT_EQ(server.stats().deadline_sweeps, 0u);
+
+  const auto pending = [](std::future<Response>& f) {
+    return f.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+  };
+  // Each 10 ms completes exactly the request whose deadline just passed.
+  const std::vector<std::size_t> deadline_order = {1, 2, 0};  // the 10, 20, 30 ms requests
+  for (std::size_t k = 0; k < deadline_order.size(); ++k) {
+    clock->advance(ms(10));
+    std::future<Response>& due = timed[deadline_order[k]];
+    ASSERT_TRUE(completes(due));
+    const Response r = due.get();
+    EXPECT_EQ(r.status, Status::kTimeout);
+    EXPECT_NE(r.message.find("queued"), std::string::npos) << r.message;
+    EXPECT_EQ(r.queue_wait, ms(10 * static_cast<int>(k + 1)));
+    for (std::size_t later = k + 1; later < deadline_order.size(); ++later) {
+      EXPECT_TRUE(pending(timed[deadline_order[later]])) << "deadline " << later;
+    }
+    EXPECT_TRUE(pending(untimed));
+    EXPECT_EQ(server.stats().queue_depth, 3 - k);
+  }
+  EXPECT_EQ(server.stats().deadline_sweeps, 3u);  // one per due deadline, none in between
+
+  // The request without a deadline is served once the worker is released.
+  gate.open();
+  ASSERT_TRUE(completes(untimed));
+  EXPECT_EQ(untimed.get().status, Status::kOk);
+  server.shutdown(true);
+  EXPECT_EQ(holder.get().status, Status::kOk);
+  const StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.timed_out, 3u);
+  EXPECT_EQ(s.timed_out_after_flush, 0u);
+  EXPECT_EQ(s.completed_ok, 2u);
+  expect_accounting_identity(s);
+}
+
+TEST_F(ServeTest, QueuedDeadlineExpiresWhileBatchQueueIsFull) {
+  const auto model = test_model();
+  StalledPipeline pipeline;
+  Server server(model, pipeline.options(ServerOptions::FullPolicy::kReject, /*capacity=*/8));
+  const OpenOnExit release{pipeline.gate};
+  auto futures = pipeline.fill(server, *model);
+
+  // A size cut is due but the batch queue is full, so the batcher is
+  // stalled until a worker frees a slot.  A deadline queued now must put
+  // the stall back to sleep on the clock, not on the slot alone.
+  const int waits = pipeline.clock->waits();
+  Request request = marginal_request(sampled_evidence(*model, 1, 17)[0]);
+  request.timeout = ms(5);
+  std::future<Response> timed = server.submit(std::move(request));
+  ASSERT_TRUE(spin_until([&] { return pipeline.clock->waits() > waits; }));
+  pipeline.clock->advance(ms(5));
+  ASSERT_TRUE(completes(timed));
+  const Response r = timed.get();
+  EXPECT_EQ(r.status, Status::kTimeout);
+  EXPECT_NE(r.message.find("while queued"), std::string::npos) << r.message;
+  EXPECT_EQ(r.queue_wait, ms(5));
+
+  pipeline.gate.open();
+  server.shutdown(true);
+  for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
+  const StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.completed_ok, 9u);
+  EXPECT_EQ(s.timed_out, 1u);
+  EXPECT_EQ(s.timed_out_after_flush, 0u);
   expect_accounting_identity(s);
 }
 
@@ -454,8 +650,18 @@ TEST_F(ServeTest, OverloadDegradesWithProvenanceThenSheds) {
       serve::DegradedTier{rung, lowprec::RoundingMode::kNearestEven, 0.125};
   options.overload.degrade_depth = 2;
   options.overload.shed_depth = 4;
+  Gate gate;
+  std::atomic<int> arrived{0};
+  options.test_worker_hook = [&] {
+    ++arrived;
+    gate.wait();
+  };
   Server server(model, options);
 
+  // The worker is held on a first request, so the next five build a queue.
+  std::future<Response> holder =
+      server.submit(marginal_request(sampled_evidence(*model, 1, 18)[0]));
+  ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
   const auto evidence = sampled_evidence(*model, 5, 8);
   std::vector<std::future<Response>> futures;
   for (const auto& e : evidence) futures.push_back(server.submit(marginal_request(e)));
@@ -467,7 +673,9 @@ TEST_F(ServeTest, OverloadDegradesWithProvenanceThenSheds) {
   EXPECT_THROW(shed.throw_if_failed(), serve::OverloadShedError);
 
   clock->advance(ms(10));  // deadline flush of the four admitted requests
+  gate.open();
   server.shutdown(true);
+  EXPECT_EQ(holder.get().status, Status::kOk);
 
   InferenceSession exact(model, SessionOptions{});
   InferenceSession degraded(model, SessionOptions::low_precision(rung));
@@ -495,7 +703,7 @@ TEST_F(ServeTest, OverloadDegradesWithProvenanceThenSheds) {
   const StatsSnapshot s = server.stats();
   EXPECT_EQ(s.degraded_admitted, 2u);
   EXPECT_EQ(s.rejected_overload, 1u);
-  EXPECT_EQ(s.completed_ok, 4u);
+  EXPECT_EQ(s.completed_ok, 5u);
   expect_accounting_identity(s);
 }
 
@@ -559,10 +767,10 @@ TEST_F(ServeTest, DrainShutdownCompletesEverythingOnceUnderWorkerFault) {
 
   const auto evidence = sampled_evidence(*model, 5, 4);
   std::vector<std::future<Response>> futures;
-  // Two in flight (held at the hook), three still queued.
-  for (int i = 0; i < 2; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
+  // One in flight (held at the hook), four behind it.
+  futures.push_back(server.submit(marginal_request(evidence[0])));
   ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
-  for (int i = 2; i < 5; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
+  for (int i = 1; i < 5; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
 
   // The in-flight batch's evaluation throws (injected), the drain still
   // completes every request exactly once.
@@ -570,19 +778,17 @@ TEST_F(ServeTest, DrainShutdownCompletesEverythingOnceUnderWorkerFault) {
   gate.open();
   server.shutdown(true);
 
-  for (int i = 0; i < 2; ++i) {
-    Response r = futures[static_cast<std::size_t>(i)].get();
-    EXPECT_EQ(r.status, Status::kError);
-    EXPECT_NE(r.message.find("injected fault"), std::string::npos) << r.message;
-  }
-  for (int i = 2; i < 5; ++i) {
+  Response faulted = futures[0].get();
+  EXPECT_EQ(faulted.status, Status::kError);
+  EXPECT_NE(faulted.message.find("injected fault"), std::string::npos) << faulted.message;
+  for (int i = 1; i < 5; ++i) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().status, Status::kOk);
   }
   EXPECT_TRUE(FaultInjector::instance().fired("serve.worker"));
   const StatsSnapshot s = server.stats();
   EXPECT_EQ(s.submitted, 5u);
-  EXPECT_EQ(s.errors, 2u);
-  EXPECT_EQ(s.completed_ok, 3u);
+  EXPECT_EQ(s.errors, 1u);
+  EXPECT_EQ(s.completed_ok, 4u);
   expect_accounting_identity(s);
 }
 
@@ -590,14 +796,14 @@ TEST_F(ServeTest, CancelShutdownRejectsUnflushedEvaluatesInFlight) {
   const auto model = test_model();
   StalledPipeline pipeline;
   Server server(model, pipeline.options(ServerOptions::FullPolicy::kReject));
-  // 4 held by the worker, 4 parked in the batch queue, 4 still unflushed.
+  // 1 held by the worker, 4 parked in the batch queue, 4 still unflushed.
   auto futures = pipeline.fill(server, *model);
 
   // Cancel-mode shutdown from another thread (it must block joining the
   // held worker); the queued-but-unflushed requests complete immediately
   // with typed shutdown rejections.
   std::thread shutter([&] { server.shutdown(false); });
-  for (int i = 8; i < 12; ++i) {
+  for (int i = 5; i < 9; ++i) {
     Response r = futures[static_cast<std::size_t>(i)].get();
     EXPECT_EQ(r.status, Status::kRejectedShutdown);
     EXPECT_THROW(r.throw_if_failed(), serve::ShutdownError);
@@ -606,7 +812,7 @@ TEST_F(ServeTest, CancelShutdownRejectsUnflushedEvaluatesInFlight) {
   shutter.join();
 
   // The already-flushed batches still evaluate to completion.
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().status, Status::kOk);
   }
   // Admission after shutdown: immediate typed rejection.
@@ -615,7 +821,7 @@ TEST_F(ServeTest, CancelShutdownRejectsUnflushedEvaluatesInFlight) {
 
   const StatsSnapshot s = server.stats();
   EXPECT_EQ(s.rejected_shutdown, 5u);
-  EXPECT_EQ(s.completed_ok, 8u);
+  EXPECT_EQ(s.completed_ok, 5u);
   expect_accounting_identity(s);
 }
 
@@ -649,8 +855,19 @@ TEST_F(ServeTest, FlushFaultFailsWholeBatchWithTypedErrors) {
   options.workers = 1;
   options.flush_deadline = ms(100);
   options.clock = clock;
+  Gate gate;
+  std::atomic<int> arrived{0};
+  options.test_worker_hook = [&] {
+    ++arrived;
+    gate.wait();
+  };
   Server server(model, options);
 
+  // The worker is held on a first request, so the faulted flush below is a
+  // size cut of two rather than an idle worker's cut of one.
+  std::future<Response> holder =
+      server.submit(marginal_request(sampled_evidence(*model, 1, 19)[0]));
+  ASSERT_TRUE(spin_until([&] { return arrived.load() >= 1; }));
   FaultInjector::instance().arm("serve.flush");
   const auto evidence = sampled_evidence(*model, 4, 14);
   std::vector<std::future<Response>> futures;
@@ -664,13 +881,15 @@ TEST_F(ServeTest, FlushFaultFailsWholeBatchWithTypedErrors) {
 
   // The batcher survives a failed dispatch: the next flush serves normally.
   for (int i = 2; i < 4; ++i) futures.push_back(server.submit(marginal_request(evidence[i])));
+  gate.open();
   server.shutdown(true);
+  EXPECT_EQ(holder.get().status, Status::kOk);
   for (int i = 2; i < 4; ++i) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().status, Status::kOk);
   }
   const StatsSnapshot s = server.stats();
   EXPECT_EQ(s.errors, 2u);
-  EXPECT_EQ(s.completed_ok, 2u);
+  EXPECT_EQ(s.completed_ok, 3u);
   expect_accounting_identity(s);
 }
 
